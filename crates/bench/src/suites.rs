@@ -8,10 +8,11 @@
 
 use criterion::{BenchmarkId, Criterion};
 use scalana_api::paths;
-use scalana_core::{analyze_app, profile_one_scale, ScalAnaConfig};
+use scalana_core::{analyze_app, profile_one_scale, refined_psg, ScalAnaConfig};
 use scalana_detect::{detect, DetectConfig};
 use scalana_graph::{build_psg, Ppg, PsgOptions};
-use scalana_lang::parse_program;
+use scalana_lang::builder::{func_ref, int, var, BlockBuilder};
+use scalana_lang::{parse_program, Program, ProgramBuilder};
 use scalana_mpisim::{SimConfig, Simulation};
 use scalana_obs::Histogram;
 use scalana_profile::{FlatProfilerHook, ProfilerConfig, ScalAnaProfiler, TracerHook};
@@ -23,8 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Discrete-event simulator throughput — how fast the substrate
-/// executes rank-scaled workloads (CG at several scales, and the
-/// collective-heavy path).
+/// executes rank-scaled workloads (CG at several scales, the
+/// collective-heavy path, and a program with hundreds of contexts).
 pub fn simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation");
     group.sample_size(10);
@@ -60,7 +61,62 @@ pub fn simulation(c: &mut Criterion) {
             });
         });
     }
+
+    // Hundreds of calling contexts: any per-run setup that grows with
+    // contexts × statements shows here and not in the cases above.
+    let many = many_contexts_program();
+    let many_psg = refined_psg(&many, &ScalAnaConfig::default(), 2).unwrap();
+    group.bench_function("many_contexts", |b| {
+        b.iter(|| {
+            Simulation::new(&many, &many_psg, SimConfig::with_nprocs(2))
+                .run()
+                .unwrap()
+        });
+    });
     group.finish();
+}
+
+/// A two-level call tree of 304 functions: `main` reaches 16 `mid_*`
+/// functions, each of which reaches 18 `leaf_*` functions of its own.
+/// Every other call goes through a function pointer, so indirect-call
+/// discovery adds half of the contexts.
+fn many_contexts_program() -> Program {
+    fn call(f: &mut BlockBuilder<'_>, callee: &str, indirect: bool) {
+        if indirect {
+            f.let_("fp", func_ref(callee));
+            f.call_indirect(var("fp"), vec![]);
+        } else {
+            f.call(callee, vec![]);
+        }
+    }
+    const MIDS: usize = 16;
+    const LEAVES: usize = 18;
+    let mut b = ProgramBuilder::new("many_contexts.mmpi");
+    b.function("main", &[], |f| {
+        for m in 0..MIDS {
+            call(f, &format!("mid_{m}"), m % 2 == 1);
+        }
+    });
+    for m in 0..MIDS {
+        b.function(&format!("mid_{m}"), &[], |f| {
+            f.comp_cycles(int(2_000));
+            for l in 0..LEAVES {
+                call(f, &format!("leaf_{m}_{l}"), l % 2 == 1);
+            }
+            f.allreduce(int(8));
+        });
+        for l in 0..LEAVES {
+            b.function(&format!("leaf_{m}_{l}"), &[], |f| {
+                f.for_("i", int(0), int(2), |f| {
+                    f.comp_cycles(int(1_000 + l as i64));
+                });
+                if l % 6 == 0 {
+                    f.barrier();
+                }
+            });
+        }
+    }
+    b.finish().expect("many-contexts program builds")
 }
 
 /// The hook layer itself — how much wall-clock time each tool's

@@ -1,116 +1,116 @@
-//! Dense attribution index for the simulator's inner loop.
+//! Windowed attribution index for the simulator's inner loop.
 //!
 //! [`crate::psg::Psg`] keys its attribution map and call transitions by
 //! `(CtxId, NodeId)` in hash maps — fine for analysis passes, but the
 //! simulator consults both once per *executed statement*, which makes
-//! hashing the single hottest operation of a run. Both id spaces are
-//! dense (contexts are interned `0..ctx_count`, statement ids are
-//! `0..next_node_id`), so the maps flatten into two `ctx × stmt` arrays
-//! and each lookup becomes two adds and a load.
+//! hashing the single hottest operation of a run.
 //!
-//! The flattened tables cost `ctx_count × next_node_id` slots even
-//! though each context only owns one function's statements, so builds
-//! that would exceed `DENSE_SLOT_LIMIT` (pathologically large
-//! submitted programs) fall back to a hashed snapshot instead of
-//! allocating gigabytes.
+//! A context only ever owns the statements of one function, and a
+//! function's statement ids form one short run. So each context gets a
+//! window `lo .. lo + len` over the statement ids its entries span,
+//! placed at `base` in two flat tables (vertex and callee context) of
+//! `Σ len` slots. A lookup is a bounds check on the context id, one
+//! wrapping subtraction and compare, and a load. The tables grow with
+//! the PSG's attribution entries, not with `contexts × statements`.
 //!
 //! The index is a snapshot: build it after the PSG stops mutating (for
-//! profiled runs, after indirect-call discovery). Out-of-range ids
-//! resolve to `None`, matching the hash maps' behavior for unknown keys.
+//! profiled runs, after indirect-call discovery). Unknown ids resolve to
+//! `None`, matching the hash maps' behavior for unknown keys.
 
 use crate::psg::{CtxId, Psg};
 use crate::vertex::VertexId;
 use scalana_lang::ast::NodeId;
-use std::collections::HashMap;
 
 const NONE: u32 = u32::MAX;
-
-/// Above this many `ctx × stmt` slots (× 2 tables × 4 bytes ≈ 32 MiB)
-/// the dense layout stops paying for itself and the snapshot stays
-/// hashed. Every paper workload is orders of magnitude below this.
-const DENSE_SLOT_LIMIT: usize = 1 << 22;
 
 /// Flattened `(context, statement) → vertex / callee-context` tables.
 #[derive(Debug)]
 pub struct AttrIndex {
-    tables: Tables,
+    /// Per context: its statement-id window and where it starts in the tables.
+    windows: Vec<Window>,
+    vertex: Vec<u32>,
+    transition: Vec<u32>,
 }
 
-#[derive(Debug)]
-enum Tables {
-    Dense {
-        ctxs: usize,
-        stmts: usize,
-        vertex: Vec<u32>,
-        transition: Vec<u32>,
-    },
-    /// Fallback for degenerate `ctx × stmt` volumes: same snapshot
-    /// semantics, hash-map storage.
-    Sparse {
-        vertex: HashMap<(CtxId, NodeId), VertexId>,
-        transition: HashMap<(CtxId, NodeId), CtxId>,
-    },
+/// Statement ids `lo .. lo + len` of one context, stored at
+/// `base .. base + len` in both tables.
+#[derive(Debug, Default)]
+struct Window {
+    lo: NodeId,
+    len: u32,
+    base: usize,
 }
 
 impl AttrIndex {
-    /// Snapshot `psg`'s attribution map and direct-call transitions for
-    /// a program whose statement ids are `0..next_node_id`.
-    pub fn build(psg: &Psg, next_node_id: NodeId) -> AttrIndex {
-        let ctxs = psg.ctx_count();
-        let stmts = next_node_id as usize;
-        if ctxs.checked_mul(stmts).is_none_or(|n| n > DENSE_SLOT_LIMIT) {
-            return AttrIndex {
-                tables: Tables::Sparse {
-                    vertex: psg.attribution_entries().map(|(k, v)| (*k, *v)).collect(),
-                    transition: psg.transition_entries().map(|(k, v)| (*k, *v)).collect(),
-                },
-            };
+    /// Snapshot `psg`'s attribution map and direct-call transitions.
+    pub fn build(psg: &Psg) -> AttrIndex {
+        // Pass 1: each context's `[lo, hi]` statement span.
+        let mut spans: Vec<Option<(NodeId, NodeId)>> = vec![None; psg.ctx_count()];
+        let keys = psg
+            .attribution_entries()
+            .map(|(k, _)| k)
+            .chain(psg.transition_entries().map(|(k, _)| k));
+        for &(ctx, stmt) in keys {
+            let span = &mut spans[ctx as usize];
+            *span = Some(match *span {
+                None => (stmt, stmt),
+                Some((lo, hi)) => (lo.min(stmt), hi.max(stmt)),
+            });
         }
-        let mut vertex = vec![NONE; ctxs * stmts];
-        let mut transition = vec![NONE; ctxs * stmts];
+        let mut slots = 0;
+        let windows = spans
+            .into_iter()
+            .map(|span| {
+                let window = span.map_or(Window::default(), |(lo, hi)| Window {
+                    lo,
+                    len: hi - lo + 1,
+                    base: slots,
+                });
+                slots += window.len as usize;
+                window
+            })
+            .collect();
+
+        // Pass 2: fill the slots.
+        let mut index = AttrIndex {
+            windows,
+            vertex: vec![NONE; slots],
+            transition: vec![NONE; slots],
+        };
         for (&(ctx, stmt), &v) in psg.attribution_entries() {
             debug_assert_ne!(v, NONE, "vertex id collides with the sentinel");
-            if (ctx as usize) < ctxs && (stmt as usize) < stmts {
-                vertex[ctx as usize * stmts + stmt as usize] = v;
-            }
+            let slot = index.slot(ctx, stmt).expect("entry inside its window");
+            index.vertex[slot] = v;
         }
         for (&(ctx, stmt), &c) in psg.transition_entries() {
             debug_assert_ne!(c, NONE, "context id collides with the sentinel");
-            if (ctx as usize) < ctxs && (stmt as usize) < stmts {
-                transition[ctx as usize * stmts + stmt as usize] = c;
-            }
+            let slot = index.slot(ctx, stmt).expect("entry inside its window");
+            index.transition[slot] = c;
         }
-        AttrIndex {
-            tables: Tables::Dense {
-                ctxs,
-                stmts,
-                vertex,
-                transition,
-            },
-        }
+        index
+    }
+
+    /// Table slots per table: the sum of every context's window length.
+    pub fn slots(&self) -> usize {
+        self.vertex.len()
+    }
+
+    /// Table position of `(ctx, stmt)`, if it lies inside `ctx`'s window.
+    #[inline]
+    fn slot(&self, ctx: CtxId, stmt: NodeId) -> Option<usize> {
+        let w = self.windows.get(ctx as usize)?;
+        // Ids below `lo` wrap to large offsets and fail the same compare.
+        let i = stmt.wrapping_sub(w.lo);
+        (i < w.len).then(|| w.base + i as usize)
     }
 
     /// Attribution: the vertex owning `stmt` in `ctx`. Equivalent to
     /// [`Psg::vertex_of`] on the snapshotted graph.
     #[inline]
     pub fn vertex_of(&self, ctx: CtxId, stmt: NodeId) -> Option<VertexId> {
-        match &self.tables {
-            Tables::Dense {
-                ctxs,
-                stmts,
-                vertex,
-                ..
-            } => {
-                let (c, s) = (ctx as usize, stmt as usize);
-                if c >= *ctxs || s >= *stmts {
-                    return None;
-                }
-                match vertex[c * stmts + s] {
-                    NONE => None,
-                    v => Some(v),
-                }
-            }
-            Tables::Sparse { vertex, .. } => vertex.get(&(ctx, stmt)).copied(),
+        match self.vertex[self.slot(ctx, stmt)?] {
+            NONE => None,
+            v => Some(v),
         }
     }
 
@@ -118,23 +118,9 @@ impl AttrIndex {
     /// [`Psg::enter_call`] on the snapshotted graph.
     #[inline]
     pub fn enter_call(&self, ctx: CtxId, call_stmt: NodeId) -> Option<CtxId> {
-        match &self.tables {
-            Tables::Dense {
-                ctxs,
-                stmts,
-                transition,
-                ..
-            } => {
-                let (c, s) = (ctx as usize, call_stmt as usize);
-                if c >= *ctxs || s >= *stmts {
-                    return None;
-                }
-                match transition[c * stmts + s] {
-                    NONE => None,
-                    t => Some(t),
-                }
-            }
-            Tables::Sparse { transition, .. } => transition.get(&(ctx, call_stmt)).copied(),
+        match self.transition[self.slot(ctx, call_stmt)?] {
+            NONE => None,
+            t => Some(t),
         }
     }
 }
@@ -157,26 +143,10 @@ mod tests {
     fn index_agrees_with_hash_maps_everywhere() {
         let program = parse_program("t.mmpi", SRC).unwrap();
         let psg = crate::build_psg(&program, &PsgOptions::default());
-        let idx = AttrIndex::build(&psg, program.next_node_id);
-        assert!(matches!(idx.tables, Tables::Dense { .. }));
+        let idx = AttrIndex::build(&psg);
+        assert_eq!(idx.slots(), program.stmt_count());
         for ctx in 0..psg.ctx_count() as CtxId {
-            for stmt in 0..program.next_node_id {
-                assert_eq!(idx.vertex_of(ctx, stmt), psg.vertex_of(ctx, stmt));
-                assert_eq!(idx.enter_call(ctx, stmt), psg.enter_call(ctx, stmt));
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_fallback_agrees_with_hash_maps_everywhere() {
-        // Claiming a statement-id space past the dense limit must not
-        // allocate the flat tables, and lookups stay equivalent.
-        let program = parse_program("t.mmpi", SRC).unwrap();
-        let psg = crate::build_psg(&program, &PsgOptions::default());
-        let idx = AttrIndex::build(&psg, u32::MAX);
-        assert!(matches!(idx.tables, Tables::Sparse { .. }));
-        for ctx in 0..psg.ctx_count() as CtxId {
-            for stmt in 0..program.next_node_id {
+            for stmt in 0..=program.next_node_id {
                 assert_eq!(idx.vertex_of(ctx, stmt), psg.vertex_of(ctx, stmt));
                 assert_eq!(idx.enter_call(ctx, stmt), psg.enter_call(ctx, stmt));
             }
@@ -187,9 +157,10 @@ mod tests {
     fn out_of_range_ids_resolve_to_none() {
         let program = parse_program("t.mmpi", "fn main() { barrier(); }").unwrap();
         let psg = crate::build_psg(&program, &PsgOptions::default());
-        let idx = AttrIndex::build(&psg, program.next_node_id);
+        let idx = AttrIndex::build(&psg);
         assert_eq!(idx.vertex_of(999, 0), None);
         assert_eq!(idx.vertex_of(0, 999), None);
+        assert_eq!(idx.vertex_of(0, u32::MAX), None);
         assert_eq!(idx.enter_call(999, 999), None);
     }
 }

@@ -153,7 +153,7 @@ impl Psg {
     }
 
     /// Every `(context, statement) → vertex` attribution entry (for
-    /// building dense snapshots such as [`crate::index::AttrIndex`]).
+    /// building snapshots such as [`crate::index::AttrIndex`]).
     pub fn attribution_entries(&self) -> impl Iterator<Item = (&(CtxId, NodeId), &VertexId)> {
         self.stmt_map.iter()
     }

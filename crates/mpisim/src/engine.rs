@@ -35,8 +35,10 @@
 //! reproducing the historical scan's tie-breaks exactly. Blocked waits
 //! record *which* requests they cover (`ReqWait`) instead of cloning
 //! request-id vectors, program parameters are interned once per run
-//! ([`ParamTable`]), and statement attribution goes through a dense
-//! [`AttrIndex`] snapshot rather than hash-map lookups per statement.
+//! ([`ParamTable`]), and statement attribution goes through an
+//! [`AttrIndex`] snapshot (one statement-id window per context, sized
+//! by the PSG's attribution entries) rather than hash-map lookups per
+//! statement.
 
 use crate::eval::ParamTable;
 use crate::hook::{CommDepEvent, Hook, MpiEnterEvent, MpiExitEvent, NullHook};
@@ -432,7 +434,7 @@ impl CollInstance {
 
 struct Engine<'p, 'g, 'h> {
     psg: &'g Psg,
-    /// Dense `(ctx, stmt)` attribution snapshot of `psg`.
+    /// Windowed `(ctx, stmt)` attribution snapshot of `psg`.
     attr: AttrIndex,
     config: SimConfig,
     params: ParamTable,
@@ -471,7 +473,7 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
             .collect();
         Engine {
             psg,
-            attr: AttrIndex::build(psg, program.next_node_id),
+            attr: AttrIndex::build(psg),
             config,
             params,
             hook,

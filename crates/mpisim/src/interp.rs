@@ -64,7 +64,7 @@ pub struct Pmu {
 pub struct StepCtx<'e> {
     /// The contracted PSG (indirect-call transitions, root vertex).
     pub psg: &'e Psg,
-    /// Dense attribution/transition snapshot of the PSG (the hot-loop
+    /// Attribution/transition snapshot of the PSG (the hot-loop
     /// replacement for its hash-map lookups).
     pub attr: &'e AttrIndex,
     /// Platform model.
@@ -700,7 +700,7 @@ mod tests {
         let psg = build_psg(&program, &PsgOptions::default());
         let machine = MachineConfig::default();
         let params = ParamTable::build(&program, &Default::default());
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+        let attr = AttrIndex::build(&psg);
         let mut hook = NullHook;
         let mut ctx = StepCtx {
             psg: &psg,
@@ -785,7 +785,7 @@ mod tests {
         let psg = build_psg(&program, &PsgOptions::default());
         let machine = MachineConfig::default();
         let params = ParamTable::default();
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+        let attr = AttrIndex::build(&psg);
         let mut hook = NullHook;
         let mut ctx = StepCtx {
             psg: &psg,
@@ -823,7 +823,7 @@ mod tests {
         let psg = build_psg(&program, &PsgOptions::default());
         let machine = MachineConfig::default();
         let params = ParamTable::default();
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+        let attr = AttrIndex::build(&psg);
         let mut hook = NullHook;
         let mut ctx = StepCtx {
             psg: &psg,
@@ -848,7 +848,7 @@ mod tests {
         let psg = build_psg(&program, &PsgOptions::default());
         let machine = MachineConfig::default();
         let params = ParamTable::default();
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+        let attr = AttrIndex::build(&psg);
         let mut hook = NullHook;
         let mut ctx = StepCtx {
             psg: &psg,

@@ -50,13 +50,43 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Runtime(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Why a command failed. Only a malformed command line is answered with
+/// the usage text; a well-formed command that fails while it runs
+/// (unreadable program, simulation error, unreachable daemon) is not.
+/// Plain string errors from argument parsing convert to `Usage`; the
+/// run phase wraps its failures with `runtime`.
+enum Failure {
+    Usage(String),
+    Runtime(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_string())
+    }
+}
+
+fn runtime(err: impl std::fmt::Display) -> Failure {
+    Failure::Runtime(err.to_string())
 }
 
 const USAGE: &str = "usage:
@@ -81,7 +111,7 @@ const USAGE: &str = "usage:
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("static") => cmd_static(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
@@ -95,8 +125,8 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("store") => cmd_store(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("shutdown") => cmd_shutdown(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`")),
-        None => Err("missing command".to_string()),
+        Some(other) => Err(format!("unknown command `{other}`").into()),
+        None => Err("missing command".into()),
     }
 }
 
@@ -112,12 +142,13 @@ fn parse_scales(spec: &str) -> Result<Vec<usize>, String> {
     Ok(scales)
 }
 
-fn load_program(path: &str) -> Result<scalana_lang::Program, String> {
-    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_program(path, &source).map_err(|e| e.to_string())
+fn load_program(path: &str) -> Result<scalana_lang::Program, Failure> {
+    let source =
+        std::fs::read_to_string(path).map_err(|e| runtime(format!("cannot read {path}: {e}")))?;
+    parse_program(path, &source).map_err(runtime)
 }
 
-fn cmd_static(args: &[String]) -> Result<(), String> {
+fn cmd_static(args: &[String]) -> Result<(), Failure> {
     let file = args.first().ok_or("static: missing <file.mmpi>")?;
     let mut opts = PsgOptions::default();
     let mut dot = false;
@@ -132,7 +163,7 @@ fn cmd_static(args: &[String]) -> Result<(), String> {
             }
             "--no-contract" => opts.contract = false,
             "--dot" => dot = true,
-            other => return Err(format!("static: unknown flag `{other}`")),
+            other => return Err(format!("static: unknown flag `{other}`").into()),
         }
     }
     let program = load_program(file)?;
@@ -149,7 +180,7 @@ fn cmd_static(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
+fn cmd_analyze(args: &[String]) -> Result<(), Failure> {
     let file = args.first().ok_or("analyze: missing <file.mmpi>")?;
     let mut scales = vec![4, 8, 16, 32];
     let mut config = ScalAnaConfig::default();
@@ -181,7 +212,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
                 config.params.insert(name.to_string(), value);
             }
             "--json" => json = true,
-            other => return Err(format!("analyze: unknown flag `{other}`")),
+            other => return Err(format!("analyze: unknown flag `{other}`").into()),
         }
     }
     let program = load_program(file)?;
@@ -189,7 +220,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .config(config)
         .scales(scales.iter().copied())
         .run()
-        .map_err(|e| e.to_string())?;
+        .map_err(runtime)?;
     if json {
         println!("{}", jsonify::analysis_to_json(&analysis).render());
         return Ok(());
@@ -246,7 +277,7 @@ fn render_speedup_table(runs: &[scalana_core::RunSummary]) -> String {
     out
 }
 
-fn cmd_apps(args: &[String]) -> Result<(), String> {
+fn cmd_apps(args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("--list") | None => {
             for app in scalana_apps::all_apps() {
@@ -266,7 +297,7 @@ fn cmd_apps(args: &[String]) -> Result<(), String> {
             let analysis = Analysis::builder(&app)
                 .scales(scales.iter().copied())
                 .run()
-                .map_err(|e| e.to_string())?;
+                .map_err(runtime)?;
             println!("{}", analysis.report.render());
             if let Some(expected) = &app.expected_root_cause {
                 let verdict = if analysis.report.found_at(expected) {
@@ -278,11 +309,11 @@ fn cmd_apps(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        Some(other) => Err(format!("apps: unknown flag `{other}`")),
+        Some(other) => Err(format!("apps: unknown flag `{other}`").into()),
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), Failure> {
     let mut config = ServiceConfig {
         addr: DEFAULT_ADDR.to_string(),
         ..ServiceConfig::default()
@@ -297,7 +328,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 let v = it.next().ok_or("--workers needs a value")?;
                 config.workers = v.parse().map_err(|e| format!("bad --workers: {e}"))?;
                 if config.workers == 0 {
-                    return Err("--workers must be at least 1".to_string());
+                    return Err("--workers must be at least 1".into());
                 }
             }
             "--queue-capacity" => {
@@ -329,17 +360,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 let v = it.next().ok_or("--idle-timeout needs SECS")?;
                 let secs: u64 = v.parse().map_err(|e| format!("bad --idle-timeout: {e}"))?;
                 if secs == 0 {
-                    return Err("--idle-timeout must be at least 1 second".to_string());
+                    return Err("--idle-timeout must be at least 1 second".into());
                 }
                 config.idle_timeout = Duration::from_secs(secs);
             }
-            other => return Err(format!("serve: unknown flag `{other}`")),
+            other => return Err(format!("serve: unknown flag `{other}`").into()),
         }
     }
     if config.store_quota > 0 && config.store_dir.is_none() {
-        return Err("--store-quota needs --store-dir".to_string());
+        return Err("--store-quota needs --store-dir".into());
     }
-    let server = Server::bind(&config).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
+    let server =
+        Server::bind(&config).map_err(|e| runtime(format!("cannot bind {}: {e}", config.addr)))?;
     println!(
         "scalana-service listening on {} ({} workers, queue capacity {})",
         server.local_addr(),
@@ -367,7 +399,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // sure it is out before the (long-lived) accept loop starts.
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    server.run().map_err(|e| format!("server failed: {e}"))
+    server
+        .run()
+        .map_err(|e| runtime(format!("server failed: {e}")))
 }
 
 /// Split client args into `(addr, rest)`.
@@ -387,8 +421,9 @@ fn take_addr(args: &[String]) -> Result<(String, Vec<String>), String> {
 
 /// Load a program file into a [`ProgramRef::Source`] (the basename
 /// becomes the `file:line` prefix in reports).
-fn source_ref(path: &str) -> Result<ProgramRef, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn source_ref(path: &str) -> Result<ProgramRef, Failure> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| runtime(format!("cannot read {path}: {e}")))?;
     let name = std::path::Path::new(path)
         .file_name()
         .and_then(|n| n.to_str())
@@ -399,7 +434,7 @@ fn source_ref(path: &str) -> Result<ProgramRef, String> {
     })
 }
 
-fn cmd_submit(args: &[String]) -> Result<(), String> {
+fn cmd_submit(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     let mut file: Option<String> = None;
     let mut app: Option<String> = None;
@@ -440,11 +475,11 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
             }
             "--wait" => wait = true,
             other if other.starts_with("--") => {
-                return Err(format!("submit: unknown flag `{other}`"));
+                return Err(format!("submit: unknown flag `{other}`").into());
             }
             path => {
                 if file.replace(path.to_string()).is_some() {
-                    return Err("submit: more than one <file.mmpi>".to_string());
+                    return Err("submit: more than one <file.mmpi>".into());
                 }
             }
         }
@@ -456,7 +491,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         _ => {
             return Err(
                 "submit: need exactly one of <file.mmpi>, --app NAME, or --program-hash HASH"
-                    .to_string(),
+                    .into(),
             )
         }
     };
@@ -468,21 +503,22 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         max_loop_depth: None,
         params,
     };
-    let response = client::request_json(&addr, "POST", paths::JOBS, &request.to_json().render())?;
+    let response = client::request_json(&addr, "POST", paths::JOBS, &request.to_json().render())
+        .map_err(runtime)?;
     println!("{}", response.render());
     if wait {
         let key = response
             .get("job")
             .and_then(Json::as_str)
-            .ok_or("submit response missing `job`")?;
-        let last = client::wait_for_job(&addr, key, Duration::from_secs(600))?;
+            .ok_or_else(|| runtime("submit response missing `job`"))?;
+        let last = client::wait_for_job(&addr, key, Duration::from_secs(600)).map_err(runtime)?;
         println!("{}", last.render());
         if last.get("status").and_then(Json::as_str) == Some("failed") {
-            return Err(last
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("job failed")
-                .to_string());
+            return Err(runtime(
+                last.get("error")
+                    .and_then(Json::as_str)
+                    .unwrap_or("job failed"),
+            ));
         }
     }
     Ok(())
@@ -490,7 +526,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 
 /// `scalana diff a.mmpi b.mmpi`: run (or reuse) both analyses server-side
 /// and print the structured comparison from `POST /v1/diff`.
-fn cmd_diff(args: &[String]) -> Result<(), String> {
+fn cmd_diff(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     let mut files: Vec<String> = Vec::new();
     let mut scales: Option<Vec<usize>> = None;
@@ -507,15 +543,15 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
                 scales_b = Some(parse_scales(v)?);
             }
             other if other.starts_with("--") => {
-                return Err(format!("diff: unknown flag `{other}`"));
+                return Err(format!("diff: unknown flag `{other}`").into());
             }
             path => files.push(path.to_string()),
         }
     }
     let [file_a, file_b] = files.as_slice() else {
-        return Err("diff: need exactly two program files <a.mmpi> <b.mmpi>".to_string());
+        return Err("diff: need exactly two program files <a.mmpi> <b.mmpi>".into());
     };
-    let side = |path: &str, scales: Option<Vec<usize>>| -> Result<SubmitRequest, String> {
+    let side = |path: &str, scales: Option<Vec<usize>>| -> Result<SubmitRequest, Failure> {
         Ok(SubmitRequest {
             program: source_ref(path)?,
             scales,
@@ -529,29 +565,31 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
         a: side(file_a, scales.clone())?,
         b: side(file_b, scales_b.or(scales))?,
     };
-    let response = client::request_json(&addr, "POST", paths::DIFF, &request.to_json().render())?;
+    let response = client::request_json(&addr, "POST", paths::DIFF, &request.to_json().render())
+        .map_err(runtime)?;
     println!("{}", response.render());
     Ok(())
 }
 
-fn cmd_status(args: &[String]) -> Result<(), String> {
+fn cmd_status(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     let path = match rest.as_slice() {
         [] => paths::STATS.to_string(),
         [job] => paths::job(job),
-        _ => return Err("status: at most one JOB".to_string()),
+        _ => return Err("status: at most one JOB".into()),
     };
-    let response = client::request_json(&addr, "GET", &path, "")?;
+    let response = client::request_json(&addr, "GET", &path, "").map_err(runtime)?;
     println!("{}", response.render());
     Ok(())
 }
 
-fn cmd_result(args: &[String]) -> Result<(), String> {
+fn cmd_result(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     let [job] = rest.as_slice() else {
-        return Err("result: need exactly one JOB".to_string());
+        return Err("result: need exactly one JOB".into());
     };
-    let response = client::request_json(&addr, "GET", &paths::job_result(job), "")?;
+    let response =
+        client::request_json(&addr, "GET", &paths::job_result(job), "").map_err(runtime)?;
     println!("{}", response.render());
     Ok(())
 }
@@ -559,7 +597,7 @@ fn cmd_result(args: &[String]) -> Result<(), String> {
 /// `scalana trace JOB`: fetch the job's span timeline from
 /// `GET /v1/jobs/<id>/trace` and render it as an indented tree (or, with
 /// `--json`, print the wire document verbatim).
-fn cmd_trace(args: &[String]) -> Result<(), String> {
+fn cmd_trace(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     let mut json_out = false;
     let mut job: Option<String> = None;
@@ -567,23 +605,24 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--json" => json_out = true,
             other if other.starts_with("--") => {
-                return Err(format!("trace: unknown flag `{other}`"));
+                return Err(format!("trace: unknown flag `{other}`").into());
             }
             key => {
                 if job.replace(key.to_string()).is_some() {
-                    return Err("trace: need exactly one JOB".to_string());
+                    return Err("trace: need exactly one JOB".into());
                 }
             }
         }
     }
     let job = job.ok_or("trace: need exactly one JOB")?;
-    let response = client::request_json(&addr, "GET", &paths::job_trace(&job), "")?;
+    let response =
+        client::request_json(&addr, "GET", &paths::job_trace(&job), "").map_err(runtime)?;
     if json_out {
         println!("{}", response.render());
         return Ok(());
     }
     let trace = scalana_api::TraceResponse::from_json(&response)
-        .ok_or("trace: server answered a document that is not a trace")?;
+        .ok_or_else(|| runtime("trace: server answered a document that is not a trace"))?;
     println!(
         "job {}  total {:.3} ms ({} top-level spans)",
         trace.job,
@@ -615,7 +654,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// exposition verbatim (one scrape — what scripts pipe into grep);
 /// the default renders a compact digest, repeated `--count` times at
 /// `--interval`-second cadence.
-fn cmd_top(args: &[String]) -> Result<(), String> {
+fn cmd_top(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     let mut raw = false;
     let mut interval = Duration::from_secs(2);
@@ -633,10 +672,10 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
                 let v = it.next().ok_or("--count needs N")?;
                 count = v.parse().map_err(|e| format!("bad --count: {e}"))?;
                 if count == 0 {
-                    return Err("--count must be at least 1".to_string());
+                    return Err("--count must be at least 1".into());
                 }
             }
-            other => return Err(format!("top: unknown flag `{other}`")),
+            other => return Err(format!("top: unknown flag `{other}`").into()),
         }
     }
     for round in 0..count {
@@ -644,9 +683,9 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             std::thread::sleep(interval);
             println!();
         }
-        let (code, text) = client::request(&addr, "GET", paths::METRICS, "")?;
+        let (code, text) = client::request(&addr, "GET", paths::METRICS, "").map_err(runtime)?;
         if code != 200 {
-            return Err(format!("GET {}: {code} {text}", paths::METRICS));
+            return Err(runtime(format!("GET {}: {code} {text}", paths::METRICS)));
         }
         if raw {
             print!("{text}");
@@ -663,7 +702,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 /// drive the keyset pagination, and a non-null `next_after` in the
 /// response is the cursor for the following page. `gc` runs one LRU
 /// quota sweep via `POST /v1/store/gc`.
-fn cmd_store(args: &[String]) -> Result<(), String> {
+fn cmd_store(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     let response = match rest.split_first().map(|(sub, flags)| (sub.as_str(), flags)) {
         Some(("ls", flags)) => {
@@ -680,7 +719,7 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
                         let n: usize = v.parse().map_err(|e| format!("bad --limit: {e}"))?;
                         query.push(format!("limit={n}"));
                     }
-                    other => return Err(format!("store ls: unknown flag `{other}`")),
+                    other => return Err(format!("store ls: unknown flag `{other}`").into()),
                 }
             }
             let path = if query.is_empty() {
@@ -688,10 +727,12 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
             } else {
                 format!("{}?{}", paths::STORE, query.join("&"))
             };
-            client::request_json(&addr, "GET", &path, "")?
+            client::request_json(&addr, "GET", &path, "").map_err(runtime)?
         }
-        Some(("gc", [])) => client::request_json(&addr, "POST", paths::STORE_GC, "")?,
-        _ => return Err("store: need exactly one subcommand, `ls` or `gc`".to_string()),
+        Some(("gc", [])) => {
+            client::request_json(&addr, "POST", paths::STORE_GC, "").map_err(runtime)?
+        }
+        _ => return Err("store: need exactly one subcommand, `ls` or `gc`".into()),
     };
     println!("{}", response.render());
     Ok(())
@@ -786,12 +827,12 @@ fn print_metrics_digest(text: &str) {
     }
 }
 
-fn cmd_shutdown(args: &[String]) -> Result<(), String> {
+fn cmd_shutdown(args: &[String]) -> Result<(), Failure> {
     let (addr, rest) = take_addr(args)?;
     if !rest.is_empty() {
-        return Err("shutdown: unexpected arguments".to_string());
+        return Err("shutdown: unexpected arguments".into());
     }
-    let response = client::request_json(&addr, "POST", paths::SHUTDOWN, "")?;
+    let response = client::request_json(&addr, "POST", paths::SHUTDOWN, "").map_err(runtime)?;
     println!("{}", response.render());
     Ok(())
 }

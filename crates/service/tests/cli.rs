@@ -295,3 +295,33 @@ fn bad_usage_reports_errors() {
     assert!(!ok);
     assert!(stderr.contains("cannot connect"), "{stderr}");
 }
+
+#[test]
+fn usage_text_follows_only_command_line_errors() {
+    // A malformed command line is answered with the usage text.
+    let path = write_demo("cli_usage_flag.mmpi");
+    let (_, stderr, ok) = scalana(&["analyze", path.to_str().unwrap(), "--bogus"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+
+    // A well-formed command that fails while it runs is not: each rank
+    // waits on a receive from the other.
+    let path = std::env::temp_dir().join("cli_usage_deadlock.mmpi");
+    std::fs::write(
+        &path,
+        "fn main() { recv(src = (rank + 1) % nprocs, tag = 0); }",
+    )
+    .unwrap();
+    let (_, stderr, ok) = scalana(&["analyze", path.to_str().unwrap(), "--scales", "2,4"]);
+    assert!(!ok);
+    assert!(stderr.starts_with("error: deadlock"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+
+    let (_, stderr, ok) = scalana(&["analyze", "/nonexistent.mmpi"]);
+    assert!(!ok);
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    let (_, stderr, ok) = scalana(&["status", "--addr", "127.0.0.1:1"]);
+    assert!(!ok);
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
